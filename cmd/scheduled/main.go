@@ -5,18 +5,16 @@
 // batches without linking the solvers.
 //
 // With -cache the server evaluates through a content-addressed result
-// cache persisted as a row store, so repeated grids over the same
-// instances are answered without re-running the algorithms. -cache-format
-// selects the store file form: "jsonl" (the default, line-per-entry text),
-// "binary" (the framed binary wire form — smaller and cheaper to load,
-// same contents bit for bit) or "paged" (an out-of-core paged block file
-// with a B-tree index — same contents again, but rows are served from disk
-// through a bounded page cache, so the store can be far larger than RAM
-// and opens in O(1) instead of loading every row). -cache-max bounds the
-// store: beyond that many rows the least-recently-used entries are evicted
-// (the resident formats compact the file down to the bound on close or the
-// next load; the paged store deletes in place through its free list), so a
-// long-lived server's store does not grow without bound. The same store backs the
+// cache persisted as a paged row store, so repeated grids over the same
+// instances are answered without re-running the algorithms. The store is
+// an out-of-core paged block file with a B-tree index: rows are served
+// from disk through a bounded page cache, so the store can be far larger
+// than RAM and opens in O(1) instead of loading every row. A cache file of
+// the removed JSONL or binary row store formats is refused by name; point
+// -cache at a new path and the rows re-warm. -cache-max bounds the store:
+// beyond that many rows the least-recently-used entries are deleted in
+// place through the store's free list, so a long-lived server's store does
+// not grow without bound. The same store backs the
 // /v1/warm endpoint: rows a shard (or a sibling server) computed elsewhere
 // are pushed in and answer later batches here, so a fleet of cached servers
 // converges on one warm working set.
@@ -64,9 +62,7 @@
 // Usage:
 //
 //	scheduled -addr 127.0.0.1:8080
-//	scheduled -addr :9090 -workers 8 -cache rows.jsonl -cache-max 100000
-//	scheduled -addr :9091 -cache rows.bin -cache-format binary
-//	scheduled -addr :9092 -cache rows.paged -cache-format paged
+//	scheduled -addr :9090 -workers 8 -cache rows.paged -cache-max 100000
 //	scheduled -addr :8080 -tenant-rate 500 -tenant-burst 2000 -tenant-queue 5000
 //	scheduled -addr :8080 -children http://10.0.0.1:9090,http://10.0.0.2:9090 -admit-depth 256
 //	scheduled -list
@@ -109,9 +105,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 0, "per-batch worker-pool bound (0 = GOMAXPROCS)")
 	concurrency := fs.Int("concurrency", 0, "batches evaluated at once (0 = 1, strict serialization)")
-	cache := fs.String("cache", "", "row-store path; evaluate through a content-addressed result cache")
+	cache := fs.String("cache", "", "paged row-store path; evaluate through a content-addressed result cache")
 	cacheMax := fs.Int("cache-max", 0, "row-store entry bound: LRU-evict beyond this many rows (0 = unbounded)")
-	cacheFormat := fs.String("cache-format", "jsonl", "row-store file form: "+strings.Join(schedule.StoreFormatNames(), " | "))
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant token-bucket refill, jobs/sec (0 = no rate limit)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant token-bucket capacity in jobs (0 = max(rate, 64))")
 	tenantQueue := fs.Int("tenant-queue", 0, "per-tenant bound on admitted-but-unfinished jobs (0 = unbounded)")
@@ -203,14 +198,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}
 	}()
 	if *cache != "" {
-		format, err := schedule.ParseStoreFormat(*cacheFormat)
+		paged, err := schedule.OpenPagedStoreWith(*cache, schedule.StoreOptions{MaxEntries: *cacheMax})
 		if err != nil {
 			return err
 		}
-		store, err = schedule.OpenRowStore(*cache, schedule.StoreOptions{MaxEntries: *cacheMax, Format: format})
-		if err != nil {
-			return err
-		}
+		store = paged
 		cached = schedule.NewCached(backend, store)
 		backend = cached
 		fmt.Fprintf(w, "scheduled: row store %s holds %d rows\n", *cache, store.Len())
@@ -256,7 +248,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if store != nil {
 		warmStore = store
 	}
-	srv := &http.Server{Handler: service.NewServerWith(service.ServerOptions{
+	srv := newHTTPServer(service.NewServerWith(service.ServerOptions{
 		Backend:     backend,
 		Workers:     *workers,
 		Store:       warmStore,
@@ -266,7 +258,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Rows:        store,
 		Shard:       shard,
 		Gossip:      gossip,
-	}).Handler()}
+	}).Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {
@@ -309,4 +301,20 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprintf(w, "scheduled: row store flushed\n")
 	}
 	return nil
+}
+
+// Connection timeouts of the HTTP server. A client gets readHeaderTimeout
+// to send its request headers and an idle keep-alive connection is closed
+// after idleTimeout, so stalled or abandoned connections cannot pin server
+// resources. There is deliberately no write timeout: a batch response
+// streams rows for as long as the batch runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -102,7 +104,7 @@ func TestServeHealthAndBatch(t *testing.T) {
 }
 
 func TestServeWithCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.jsonl")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t, "-cache", cache)
 	client := service.NewClient(base, nil)
 	h, err := tree.NestedHarpoon(2, 2, 30, 1)
@@ -127,11 +129,11 @@ func TestServeWithCache(t *testing.T) {
 	}
 }
 
-// -cache-format binary persists the store in the framed wire form and a
-// binary-transport client reads the served rows bit-identically to JSON.
+// Over a cached server, a binary-transport client reads the served rows
+// bit-identically to JSON, and the store persists every computed row.
 func TestServeWithBinaryCacheAndTransport(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.bin")
-	base, shutdown := startScheduled(t, "-cache", cache, "-cache-format", "binary")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
+	base, shutdown := startScheduled(t, "-cache", cache)
 	h, err := tree.NestedHarpoon(2, 2, 30, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -162,22 +164,22 @@ func TestServeWithBinaryCacheAndTransport(t *testing.T) {
 	if !strings.Contains(out, "2 cache hits, 2 misses") {
 		t.Fatalf("shutdown did not report cache counters:\n%s", out)
 	}
-	store, err := schedule.OpenRowStore(cache, schedule.StoreOptions{Format: schedule.FormatBinary})
+	store, err := schedule.OpenPagedStore(cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	if store.Len() != 2 {
-		t.Fatalf("binary store reopened with %d rows, want 2", store.Len())
+		t.Fatalf("store reopened with %d rows, want 2", store.Len())
 	}
 }
 
-// -cache-format paged keeps the result cache out of core; a server restart
-// over the same file reopens it and serves every earlier row from disk
-// without re-running anything.
+// -cache keeps the result cache out of core in a paged store; a server
+// restart over the same file reopens it and serves every earlier row from
+// disk without re-running anything.
 func TestServeWithPagedCacheAndRestart(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "rows.paged")
-	base, shutdown := startScheduled(t, "-cache", cache, "-cache-format", "paged")
+	base, shutdown := startScheduled(t, "-cache", cache)
 	h, err := tree.NestedHarpoon(2, 2, 30, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +197,7 @@ func TestServeWithPagedCacheAndRestart(t *testing.T) {
 		t.Fatalf("first server did not report the misses:\n%s", out)
 	}
 
-	base, shutdown = startScheduled(t, "-cache", cache, "-cache-format", "paged")
+	base, shutdown = startScheduled(t, "-cache", cache)
 	second, err := service.NewClient(base, nil).Run(context.Background(), jobs, schedule.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +217,7 @@ func TestServeWithPagedCacheAndRestart(t *testing.T) {
 // Retry-After, the rejection is scrapeable from /metrics, and shutdown
 // drains cleanly with the store flushed.
 func TestServeWithQuotasAndMetrics(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.jsonl")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t,
 		"-cache", cache, "-tenant-rate", "0.5", "-tenant-burst", "2")
 	client := service.NewClient(base, nil)
@@ -327,8 +329,19 @@ func TestListAndErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr", "256.256.256.256:1"}, &sb); err == nil {
 		t.Fatal("bad address accepted")
 	}
-	if err := run(context.Background(), []string{"-cache", "x", "-cache-format", "bogus"}, &sb); err == nil {
-		t.Fatal("bad cache format accepted")
+	// A cache file of the removed JSONL format is refused, untouched, with
+	// an error that points at the paged store.
+	old := filepath.Join(t.TempDir(), "old.jsonl")
+	jsonl := []byte(`{"key":"k","row":{"instance":"i"}}` + "\n")
+	if err := os.WriteFile(old, jsonl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-cache", old}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "is a JSONL row store") || !strings.Contains(err.Error(), "paged store") {
+		t.Fatalf("-cache on a JSONL file: got %v, want an error naming the JSONL format and the paged store", err)
+	}
+	if got, _ := os.ReadFile(old); !bytes.Equal(got, jsonl) {
+		t.Fatal("-cache modified the rejected JSONL file")
 	}
 }
 
@@ -336,7 +349,7 @@ func TestListAndErrors(t *testing.T) {
 // the peer's cache, so the peer answers the same grid without recomputing,
 // and both ends report the gossip at shutdown.
 func TestServeGossipPeers(t *testing.T) {
-	peerCache := filepath.Join(t.TempDir(), "peer-rows.jsonl")
+	peerCache := filepath.Join(t.TempDir(), "peer-rows.paged")
 	peerBase, shutdownPeer := startScheduled(t, "-cache", peerCache)
 	originBase, shutdownOrigin := startScheduled(t, "-peers", peerBase)
 
@@ -450,10 +463,10 @@ func TestServeHedgedFrontDoorBeatsSlowChild(t *testing.T) {
 	}
 }
 
-// -cache-max bounds the row store: the LRU overflow is evicted, reported at
-// shutdown, and the store file compacts to the bound on the next load.
+// -cache-max bounds the row store: the LRU overflow is evicted in place,
+// reported at shutdown, and the reopened store holds only the bound.
 func TestServeWithBoundedCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "rows.jsonl")
+	cache := filepath.Join(t.TempDir(), "rows.paged")
 	base, shutdown := startScheduled(t, "-cache", cache, "-cache-max", "1")
 	client := service.NewClient(base, nil)
 	h2, err := tree.NestedHarpoon(2, 2, 30, 1)
@@ -475,13 +488,25 @@ func TestServeWithBoundedCache(t *testing.T) {
 	if !strings.Contains(out, "1 evictions") {
 		t.Fatalf("shutdown did not report the eviction:\n%s", out)
 	}
-	// The store file compacts to the bound when reopened.
-	store, err := schedule.OpenJSONLStoreWith(cache, schedule.StoreOptions{MaxEntries: 1})
+	store, err := schedule.OpenPagedStoreWith(cache, schedule.StoreOptions{MaxEntries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	if store.Len() != 1 {
 		t.Fatalf("bounded store reopened with %d rows, want 1", store.Len())
+	}
+}
+
+// The server bounds how long a client may take to send request headers and
+// how long an idle keep-alive connection lives, but sets no write timeout,
+// since batch responses stream for as long as the batch runs.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be positive", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut off streaming batch responses", srv.WriteTimeout)
 	}
 }

@@ -155,7 +155,7 @@ func TestAMDMatchesExactFillQuality(t *testing.T) {
 			t.Fatalf("%s: AMD: %v", name, err)
 		}
 		checkPerm(t, amdPerm, m.N())
-		exactPerm, err := MinimumDegreeWith(m, MinimumDegreeOptions{Exact: true})
+		exactPerm, err := exactMinimumDegree(m)
 		if err != nil {
 			t.Fatalf("%s: exact: %v", name, err)
 		}
@@ -238,7 +238,7 @@ func FuzzAMDVsExact(f *testing.F) {
 			t.Fatalf("AMD: %v", err)
 		}
 		checkPerm(t, amdPerm, m.N())
-		exactPerm, err := MinimumDegreeWith(m, MinimumDegreeOptions{Exact: true})
+		exactPerm, err := exactMinimumDegree(m)
 		if err != nil {
 			t.Fatalf("exact: %v", err)
 		}

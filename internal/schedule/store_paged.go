@@ -4,16 +4,17 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"sync"
 
 	"repro/internal/store"
 )
 
-// The paged row store is the FormatPaged sibling of JSONLStore and
-// BinaryStore: the same key→row entries, but held out of core in a paged
-// block file with a B-tree index (internal/store) instead of being loaded
-// into memory on open. Each record's value is
+// The paged row store is the one on-disk row store: key→row entries held
+// out of core in a paged block file with a B-tree index (internal/store)
+// instead of being loaded into memory on open. Each record's value is
 //
 //	uvarint recency stamp, AppendRow(row)
 //
@@ -23,7 +24,7 @@ import (
 // list recycles its pages); nothing ever rewrites the whole file.
 
 // PagedStore is a Store persisted in a paged block file, optionally bounded
-// (StoreOptions). Unlike its siblings it does not hold rows in memory: Get
+// (StoreOptions). Unlike MemStore it does not hold rows in memory: Get
 // reads through the engine's bounded page cache, so the resident footprint
 // stays constant as the file grows. Construct with OpenPagedStoreWith.
 type PagedStore struct {
@@ -62,17 +63,42 @@ func OpenPagedStore(path string) (*PagedStore, error) {
 // bounded open scans keys and stamps (not rows) to rebuild recency order,
 // and trims an over-budget file down to the newest MaxEntries rows —
 // load-time trimming is compaction, not eviction, so the counter starts at
-// zero. Like the binary store, a file in another format is an error rather
-// than healable damage, so a -cache-format mix-up cannot erase a good
-// cache. Crash damage is the engine's concern: the store rolls back to the
-// last durable commit on open, so torn writes cost recent entries, never
-// the file.
+// zero. A file in another format is an error rather than healable damage,
+// and its bytes are left alone; a file of one of the removed row store
+// formats (JSONL or binary) is named as such in the error, since the fix
+// is a new path, not a repair. Crash damage is the engine's concern: the
+// store rolls back to the last durable commit on open, so torn writes cost
+// recent entries, never the file.
 func OpenPagedStoreWith(path string, opt StoreOptions) (*PagedStore, error) {
 	db, err := store.Open(path, store.Options{})
 	if err != nil {
+		if format := removedFormat(path); format != "" {
+			return nil, fmt.Errorf("schedule: %s is a %s row store; that format was removed, point -cache at a new path (rows re-warm; the paged store replaces it)", path, format)
+		}
 		return nil, fmt.Errorf("schedule: open paged row store: %w", err)
 	}
 	return newPagedStore(db, opt)
+}
+
+// removedFormat names the row store format whose file header the file at
+// path starts with — "JSONL" for a first byte '{', "binary" for WireMagic
+// followed by the binary store's 'S' kind byte — or returns "" when the
+// header is neither (or unreadable). It only reads.
+func removedFormat(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	var hdr [2]byte
+	n, _ := io.ReadFull(f, hdr[:])
+	switch {
+	case n >= 1 && hdr[0] == '{':
+		return "JSONL"
+	case n == 2 && hdr[0] == WireMagic && hdr[1] == 'S':
+		return "binary"
+	}
+	return ""
 }
 
 // OpenPagedStoreBacking opens a paged store over an arbitrary engine

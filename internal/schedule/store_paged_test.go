@@ -1,23 +1,36 @@
 package schedule_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/schedule"
 	"repro/internal/store"
 )
 
-// The paged store is a drop-in RowStore sibling: cold fill, fully warm
-// bit-identical replay across a reopen, zero algorithm runs when warm.
+// edgeRows are rows at the edges of the wire form: a sub-nanosecond
+// Seconds, a MinIO row with every counter set, and the zero row.
+var edgeRows = []schedule.Row{
+	{Instance: "a", Algorithm: "minmem", Kind: "minmemory", Memory: 42, Seconds: 0.125},
+	{Instance: "b", Algorithm: "evict-best-3", Kind: "minio", Budget: 9, IO: 17, Writes: 3, Seconds: 1e-9},
+	{},
+}
+
+// The paged store round-trips rows exactly: cold fill, fully warm
+// bit-identical replay across a reopen (edge rows included), zero
+// algorithm runs when warm.
 func TestPagedStoreColdWarm(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "rows.paged")
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged}
+	opt := schedule.StoreOptions{}
 
-	rs, err := schedule.OpenRowStore(path, opt)
+	rs, err := schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +38,31 @@ func TestPagedStoreColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, r := range edgeRows {
+		if err := rs.Put(fmt.Sprintf("edge-%d", i), r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	rs, err = schedule.OpenRowStore(path, opt)
+	rs, err = schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	if rs.Len() != len(jobs) {
-		t.Fatalf("reopened store holds %d rows, want %d", rs.Len(), len(jobs))
+	if rs.Len() != len(jobs)+len(edgeRows) {
+		t.Fatalf("reopened store holds %d rows, want %d", rs.Len(), len(jobs)+len(edgeRows))
+	}
+	for i, want := range edgeRows {
+		got, ok := rs.Get(fmt.Sprintf("edge-%d", i))
+		if !ok {
+			t.Fatalf("edge row %d missing after reopen", i)
+		}
+		if got != want {
+			t.Fatalf("edge row %d diverged across reopen: %+v, want %+v", i, got, want)
+		}
 	}
 	counting := &countingBackend{inner: schedule.Local{}}
 	warm, err := schedule.NewCached(counting, rs).Run(context.Background(), jobs, schedule.BatchOptions{})
@@ -59,7 +86,7 @@ func TestPagedStoreColdWarm(t *testing.T) {
 func TestPagedStoreCrashRecovery(t *testing.T) {
 	jobs := gridJobs(t)
 	b := store.NewMemBacking()
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged}
+	opt := schedule.StoreOptions{}
 	ps, err := schedule.OpenPagedStoreBacking(b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -111,48 +138,161 @@ func TestPagedStoreCrashRecovery(t *testing.T) {
 	}
 }
 
-// A format mix-up must not erase a good cache: a JSONL file opened as paged
-// is an error, not healable damage — and the reverse open is also refused.
+// Cache files of the removed row store formats are refused by name and
+// left byte-identical: the error names the format and the paged store
+// that replaces it, so the fix (a new -cache path) is obvious.
 func TestPagedStoreRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
-	jsonlPath := filepath.Join(dir, "rows.jsonl")
-	js, err := schedule.OpenJSONLStore(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := js.Put("k", schedule.Row{Instance: "i"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := js.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := schedule.OpenRowStore(jsonlPath, schedule.StoreOptions{Format: schedule.FormatPaged}); err == nil {
-		t.Fatal("paged open of a JSONL store must fail")
+	jsonlLine := `{"key":"k","row":{"instance":"i","algorithm":"minmem","kind":"minmemory","budget":0,"memory":3,"io":0,"writes":0,"seconds":0.5}}` + "\n"
+	// One binary store entry: uvarint payload length, then the payload
+	// (uvarint key length, key, binary row).
+	payload := schedule.AppendRow([]byte{1, 'k'}, schedule.Row{Instance: "i"})
+	binaryEntry := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
+	for _, tc := range []struct {
+		name, format string
+		data         []byte
+	}{
+		{"short.jsonl", "JSONL", []byte(jsonlLine)},
+		// Past the engine's minimum page size, so the open gets as far as
+		// reading (and rejecting) the meta slots.
+		{"long.jsonl", "JSONL", []byte(strings.Repeat(jsonlLine, 20))},
+		{"rows.bin", "binary", append([]byte{schedule.WireMagic, 'S', 1}, binaryEntry...)},
+		{"header.bin", "binary", []byte{schedule.WireMagic, 'S'}},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := schedule.OpenPagedStoreWith(path, schedule.StoreOptions{})
+		if err == nil {
+			t.Fatalf("%s: paged open of a %s row store must fail", tc.name, tc.format)
+		}
+		for _, want := range []string{"is a " + tc.format + " row store", "removed", "-cache", "paged store"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not say %q", tc.name, err, want)
+			}
+		}
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(got, tc.data) {
+			t.Errorf("%s: rejected file was modified (%d bytes, had %d)", tc.name, len(got), len(tc.data))
+		}
 	}
 
-	pagedPath := filepath.Join(dir, "rows.paged")
-	ps, err := schedule.OpenRowStore(pagedPath, schedule.StoreOptions{Format: schedule.FormatPaged})
+	// Bytes of no known format are refused too, without the removed-format
+	// hint, and equally left alone.
+	garbage := bytes.Repeat([]byte("not a store "), 40)
+	path := filepath.Join(dir, "garbage")
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := schedule.OpenPagedStoreWith(path, schedule.StoreOptions{}); err == nil || strings.Contains(err.Error(), "removed") {
+		t.Fatalf("garbage file: got %v, want a plain open error", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, garbage) {
+		t.Error("rejected garbage file was modified")
+	}
+}
+
+// A full cache file as the removed binary store wrote it (header, then a
+// run of length-prefixed entries) stays foreign to the paged store: every
+// open path refuses it by name, and repeated opens neither heal nor
+// truncate it, so a fleet can still roll back to a build that reads it.
+func TestBinaryStoreRejectsForeignFile(t *testing.T) {
+	image := []byte{schedule.WireMagic, 'S', 1}
+	for i, r := range edgeRows {
+		key := fmt.Sprintf("key-%d", i)
+		payload := schedule.AppendRow(append(binary.AppendUvarint(nil, uint64(len(key))), key...), r)
+		image = append(binary.AppendUvarint(image, uint64(len(payload))), payload...)
+	}
+	// Past the engine's minimum page size, so the open could get as far as
+	// the meta slots if the header were not recognised first.
+	for len(image) < 1024 {
+		image = append(image, image[3:]...)
+	}
+	path := filepath.Join(t.TempDir(), "rows.bin")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opens := []struct {
+		name string
+		open func() (*schedule.PagedStore, error)
+	}{
+		{"OpenPagedStore", func() (*schedule.PagedStore, error) { return schedule.OpenPagedStore(path) }},
+		{"OpenPagedStoreWith", func() (*schedule.PagedStore, error) {
+			return schedule.OpenPagedStoreWith(path, schedule.StoreOptions{})
+		}},
+		{"OpenPagedStoreWith bounded", func() (*schedule.PagedStore, error) {
+			return schedule.OpenPagedStoreWith(path, schedule.StoreOptions{MaxEntries: 2})
+		}},
+	}
+	for round := 0; round < 2; round++ {
+		for _, o := range opens {
+			s, err := o.open()
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s (round %d): paged open of a binary row store must fail", o.name, round)
+			}
+			if !strings.Contains(err.Error(), "is a binary row store") || !strings.Contains(err.Error(), "paged store") {
+				t.Errorf("%s (round %d): error %q does not name the binary format and the paged store", o.name, round, err)
+			}
+			if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, image) {
+				t.Fatalf("%s (round %d): rejected open changed the binary file (%d bytes, had %d, %v)", o.name, round, len(got), len(image), rerr)
+			}
+		}
+	}
+}
+
+// Every row store is the same store: identical puts into MemStore and
+// PagedStore produce identical gets, the paged one across a close/reopen
+// cycle, for every edge row.
+func TestRowStoreFormatsEquivalent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rows.paged")
+	mem := schedule.NewMemStore()
+	ps, err := schedule.OpenPagedStoreWith(path, schedule.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Put("k", schedule.Row{Instance: "i"}); err != nil {
-		t.Fatal(err)
+	for _, s := range []schedule.Store{mem, ps} {
+		for i, r := range edgeRows {
+			if err := s.Put(fmt.Sprintf("key-%d", i), r); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := ps.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := schedule.OpenRowStore(pagedPath, schedule.StoreOptions{Format: schedule.FormatBinary}); err == nil {
-		t.Fatal("binary open of a paged store must fail")
+	ps, err = schedule.OpenPagedStoreWith(path, schedule.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if mem.Len() != ps.Len() {
+		t.Fatalf("MemStore holds %d rows, reopened PagedStore %d", mem.Len(), ps.Len())
+	}
+	for i, want := range edgeRows {
+		key := fmt.Sprintf("key-%d", i)
+		for name, s := range map[string]schedule.Store{"MemStore": mem, "PagedStore": ps} {
+			got, ok := s.Get(key)
+			if !ok {
+				t.Fatalf("%s missing from the %s", key, name)
+			}
+			if got != want {
+				t.Fatalf("%s diverged in the %s: %+v, want %+v", key, name, got, want)
+			}
+		}
 	}
 }
 
-// Bounded semantics match the resident stores exactly, including recency
-// surviving a reopen — but here via in-place stamp rewrites, not a
-// close-time file rewrite.
+// Bounded semantics match MemStore's, and recency survives a reopen via
+// in-place stamp rewrites, not a close-time file rewrite.
 func TestPagedStoreBounded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rows.paged")
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged, MaxEntries: 4}
-	rs, err := schedule.OpenRowStore(path, opt)
+	opt := schedule.StoreOptions{MaxEntries: 4}
+	rs, err := schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +314,7 @@ func TestPagedStoreBounded(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rs, err = schedule.OpenRowStore(path, opt)
+	rs, err = schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +340,13 @@ func TestPagedStoreBounded(t *testing.T) {
 // page cache stays within the engine's bound the whole time.
 func TestPagedStoreEvictionBoundsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rows.paged")
-	opt := schedule.StoreOptions{Format: schedule.FormatPaged, MaxEntries: 64}
-	rs, err := schedule.OpenRowStore(path, opt)
+	opt := schedule.StoreOptions{MaxEntries: 64}
+	rs, err := schedule.OpenPagedStoreWith(path, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rs.Close()
-	ps := rs.(*schedule.PagedStore)
+	ps := rs
 	row := schedule.Row{Instance: "inst", Algorithm: "minmem", Memory: 7, IO: 9}
 	var warm int
 	for i := 0; i < 64*20; i++ {
@@ -228,4 +368,61 @@ func TestPagedStoreEvictionBoundsFile(t *testing.T) {
 	if s.CachedPages > 512 {
 		t.Fatalf("resident page cache holds %d pages, beyond the 512-page bound", s.CachedPages)
 	}
+}
+
+// FuzzOpenPagedRowStore opens arbitrary file bytes as a paged row store.
+// Every input either fails to open and leaves the file byte-identical, or
+// yields a store whose Get, Put and Close do not panic. The corpus seeds
+// cover the removed JSONL and binary formats and real paged images.
+func FuzzOpenPagedRowStore(f *testing.F) {
+	f.Add([]byte(`{"key":"k","row":{"instance":"i","memory":3}}`+"\n"), uint8(0))
+	f.Add(append([]byte{schedule.WireMagic, 'S', 1, 4, 1, 'k'}, schedule.AppendRow(nil, schedule.Row{})...), uint8(0))
+	f.Add([]byte{}, uint8(2))
+	dir := f.TempDir()
+	for i, max := range []int{0, 2} {
+		path := filepath.Join(dir, fmt.Sprintf("seed-%d.paged", i))
+		rs, err := schedule.OpenPagedStoreWith(path, schedule.StoreOptions{MaxEntries: max})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for k, r := range edgeRows {
+			if err := rs.Put(fmt.Sprintf("edge-%d", k), r); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := rs.Close(); err != nil {
+			f.Fatal(err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img, uint8(max))
+	}
+	// Inputs run one at a time per worker process, so one path is reused.
+	path := filepath.Join(dir, "rows")
+	f.Fuzz(func(t *testing.T, data []byte, max uint8) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := schedule.OpenPagedStoreWith(path, schedule.StoreOptions{MaxEntries: int(max % 4)})
+		if err != nil {
+			got, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("failed open (%v) modified the file: %d bytes, had %d", err, len(got), len(data))
+			}
+			return
+		}
+		for k := range edgeRows {
+			rs.Get(fmt.Sprintf("edge-%d", k))
+		}
+		rs.Put("fuzz", edgeRows[1])
+		rs.Get("fuzz")
+		rs.Len()
+		rs.Evictions()
+		rs.Close()
+	})
 }

@@ -21,15 +21,16 @@ import (
 // any per-row marshalling state and readers can detect truncation.
 
 // WireMagic is the first byte of every binary schedule stream (row streams,
-// row stores, service request/response bodies). It is non-ASCII so binary
-// payloads can never be confused with CSV, JSON or textual .tree documents.
+// service request/response bodies). It is non-ASCII so binary payloads can
+// never be confused with CSV, JSON or textual .tree documents.
 const WireMagic = 0xAB
 
 // RowStreamVersion is the current (and only) framed row stream version.
 const RowStreamVersion = 1
 
 // rowStreamKind is the stream-type byte of a framed row stream ('R' for
-// rows; the row store and the service transport use sibling kind bytes).
+// rows; the service transport uses sibling kind bytes, and 'S' marks the
+// files of the removed binary row store, see OpenPagedStoreWith).
 const rowStreamKind = 'R'
 
 // AppendRow serializes r in the binary row wire form, appending to dst

@@ -43,8 +43,17 @@ func TestGossipWarmsPeerCache(t *testing.T) {
 		Run(context.Background(), jobs, schedule.BatchOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	// Close drains the queue and waits for the push workers, so the warm
-	// push is complete — no polling.
+	// The server offers the rows to the gossiper just after it writes the
+	// batch's done line, so the client can return first: wait for the
+	// offer to be enqueued, then Close drains the queue and waits for the
+	// push workers, so the warm push is complete.
+	deadline := time.Now().Add(5 * time.Second)
+	for gossip.Stats().EnqueuedBatches != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gossip never enqueued the batch: %+v", gossip.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	gossip.Close()
 	if peerStore.Len() != len(jobs) {
 		t.Fatalf("peer store holds %d rows after gossip, want %d", peerStore.Len(), len(jobs))

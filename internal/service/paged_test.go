@@ -15,7 +15,7 @@ import (
 // store, wired as the /v1/warm sink like cmd/scheduled does.
 func startPagedServer(t *testing.T, path string) (*service.Client, schedule.RowStore) {
 	t.Helper()
-	rs, err := schedule.OpenRowStore(path, schedule.StoreOptions{Format: schedule.FormatPaged})
+	rs, err := schedule.OpenPagedStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,4 +78,37 @@ func TestColumnCountsRejectsBadParent(t *testing.T) {
 	if _, err := ColumnCounts(m, []int{1, 0, 3, NoParent}); err == nil {
 		t.Fatal("want error for parent[1] <= 1")
 	}
+}
+
+// columnCountsNaive counts by row-subtree traversals in O(|L|) time: the
+// differential reference for ColumnCounts.
+func columnCountsNaive(m *sparse.Matrix, parent []int) ([]int64, error) {
+	n := m.N()
+	if len(parent) != n {
+		return nil, fmt.Errorf("symbolic: parent vector has %d entries, want %d", len(parent), n)
+	}
+	counts := make([]int64, n)
+	for j := range counts {
+		counts[j] = 1 // diagonal
+	}
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		mark[i] = i
+		// Row i of L has nonzeros exactly on the row subtree: the union of
+		// etree paths from each a_ij (j < i) up towards i.
+		for _, jr := range m.Col(i) {
+			j := int(jr)
+			if j >= i {
+				continue
+			}
+			for k := j; k != NoParent && mark[k] != i; k = parent[k] {
+				counts[k]++ // ℓ_ik ≠ 0
+				mark[k] = i
+			}
+		}
+	}
+	return counts, nil
 }

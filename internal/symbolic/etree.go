@@ -64,9 +64,8 @@ func EliminationTree(m *sparse.Matrix) ([]int, error) {
 // entry — j a leaf of row i's subtree — or a duplicate via maxfirst; leaf
 // overlaps are charged to the least common ancestor found by a
 // path-compressed union-find, and the resulting per-column deltas are
-// summed up the tree. Unlike the row-subtree traversal it replaces (kept
-// as columnCountsNaive for differential tests), the cost is proportional
-// to nnz(A), not to |L|.
+// summed up the tree. Unlike a row-subtree traversal (the differential
+// reference in the tests), the cost is proportional to nnz(A), not to |L|.
 func ColumnCounts(m *sparse.Matrix, parent []int) ([]int64, error) {
 	n := m.N()
 	if len(parent) != n {
@@ -145,39 +144,6 @@ func skeletonLeaf(i, j int32, first, maxfirst, prevleaf, ancestor []int32) (q in
 		s, ancestor[s] = ancestor[s], q
 	}
 	return q, 2
-}
-
-// columnCountsNaive is the seed implementation: row-subtree traversals in
-// O(|L|) time, kept as the differential reference for ColumnCounts.
-func columnCountsNaive(m *sparse.Matrix, parent []int) ([]int64, error) {
-	n := m.N()
-	if len(parent) != n {
-		return nil, fmt.Errorf("symbolic: parent vector has %d entries, want %d", len(parent), n)
-	}
-	counts := make([]int64, n)
-	for j := range counts {
-		counts[j] = 1 // diagonal
-	}
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		mark[i] = i
-		// Row i of L has nonzeros exactly on the row subtree: the union of
-		// etree paths from each a_ij (j < i) up towards i.
-		for _, jr := range m.Col(i) {
-			j := int(jr)
-			if j >= i {
-				continue
-			}
-			for k := j; k != NoParent && mark[k] != i; k = parent[k] {
-				counts[k]++ // ℓ_ik ≠ 0
-				mark[k] = i
-			}
-		}
-	}
-	return counts, nil
 }
 
 // EtreePostorder returns a postorder of the elimination forest (children
